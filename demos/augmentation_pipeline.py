@@ -82,7 +82,7 @@ def widen(record):
         fingers, record.provenance, record.source_id, record.augment_angle,
     )
 
-report = evaluate_annotations(combined, [widen(r) for r in combined], jobs=1)
+report = evaluate_annotations(combined, [widen(r) for r in combined])
 print(f"\nevaluation over {report.n_images} images, {report.n_gt} fingerprints:")
 for side, value in report.mae_report.mae.items():
     print(f"  MAE {side:6s}: {value:.3f} px")

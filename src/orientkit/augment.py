@@ -235,6 +235,7 @@ def augment_dataset(
     Returns the augmented records (|records| * |angles| of them). Output
     rasters are named `<source_id>_rot<angle>` with the source's
     extension, so parallel runs over disjoint records never collide.
+    Two equal output names are rejected before any raster is written.
     """
     if not angles:
         raise ValueError("angles must be non-empty")
@@ -243,21 +244,33 @@ def augment_dataset(
             raise ValueError(f"augmentation angle {angle} outside [-90, 90]")
     images_dir = Path(images_dir)
     out_dir = Path(out_dir)
+    plan = []  # (record, its output names)
+    seen: set[str] = set()
+    for record in records:
+        suffix = Path(record.image_path).suffix or (
+            ".pgm" if _read_source(images_dir, record).channels == "grayscale" else ".ppm"
+        )
+        names = [f"{record.source_id}_rot{_angle_tag(angle)}{suffix}" for angle in angles]
+        for name in names:
+            if name in seen:
+                raise ValueError(f"two augmented rasters would both be named {name!r}")
+            seen.add(name)
+        plan.append((record, names))
     out_dir.mkdir(parents=True, exist_ok=True)
     augmented = []
-    for record in records:
-        src_path = images_dir / record.image_path
-        try:
-            img = read_raster(src_path)
-        except FileNotFoundError as exc:
-            raise FileNotFoundError(
-                f"record {record.record_id!r}: source image {src_path} not found"
-            ) from exc
-        suffix = Path(record.image_path).suffix or (
-            ".pgm" if img.channels == "grayscale" else ".ppm"
-        )
-        for angle in angles:
-            name = f"{record.source_id}_rot{_angle_tag(angle)}{suffix}"
+    for record, names in plan:
+        img = _read_source(images_dir, record)
+        for angle, name in zip(angles, names):
             write_raster(rotate_image(img, angle, fill), out_dir / name)
             augmented.append(rotate_annotation(record, angle, image_path=name))
     return augmented
+
+
+def _read_source(images_dir: Path, record: AnnotatedFingerphoto) -> RasterImage:
+    src_path = images_dir / record.image_path
+    try:
+        return read_raster(src_path)
+    except FileNotFoundError as exc:
+        raise FileNotFoundError(
+            f"record {record.record_id!r}: source image {src_path} not found"
+        ) from exc

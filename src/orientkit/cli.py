@@ -84,9 +84,8 @@ def cmd_kfold(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     gt_records = parse_annotations(args.gt)
     pred_records = parse_annotations(args.pred)
-    jobs = report_mod.resolve_jobs(args.jobs)
     report = report_mod.evaluate_annotations(
-        gt_records, pred_records, tolerance=args.tolerance, jobs=jobs
+        gt_records, pred_records, tolerance=args.tolerance
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -264,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=64.0)
     p.add_argument("--plots", action="store_true")
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (ORIENTKIT_JOBS overrides)")
+                   help="ignored; kept so older invocations still parse")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("roc", help="ROC curve and TAR at a target FAR")

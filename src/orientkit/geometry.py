@@ -61,12 +61,15 @@ class OrientedBox:
 
     def corners(self) -> np.ndarray:
         """Corner coordinates, shape (4, 2), counter-clockwise."""
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        dx = np.array([-self.w, self.w, self.w, -self.w]) * 0.5
-        dy = np.array([-self.h, -self.h, self.h, self.h]) * 0.5
-        return np.stack(
-            [self.cx + dx * c + dy * s, self.cy - dx * s + dy * c], axis=1
-        )
+        return np.array(_corner_list(self))
+
+
+def _corner_list(box: OrientedBox) -> list[tuple[float, float]]:
+    """The four corners of `box` as float pairs, counter-clockwise."""
+    c, s = math.cos(box.theta), math.sin(box.theta)
+    hw, hh = box.w * 0.5, box.h * 0.5
+    return [(box.cx + dx * c + dy * s, box.cy - dx * s + dy * c)
+            for dx, dy in ((-hw, -hh), (hw, -hh), (hw, hh), (-hw, hh))]
 
 
 @dataclass(frozen=True)
@@ -106,20 +109,22 @@ def to_polygon(box: OrientedBox) -> ConvexPolygon:
 
 
 def intersect(a: ConvexPolygon, b: ConvexPolygon) -> float:
-    """Area of the intersection of two convex polygons.
+    """Area of the intersection of two convex polygons; 0.0 when disjoint."""
+    return _clip_area([tuple(p) for p in a.vertices], [tuple(p) for p in b.vertices])
 
-    Clips `a` successively against each half-plane of `b`
-    (Sutherland-Hodgman) and measures the remainder by the shoelace
-    formula. Returns 0.0 for disjoint polygons.
+
+def _clip_area(poly: list, clip: list) -> float:
+    """Area of convex `poly` inside convex `clip`, both CCW lists of (x, y).
+
+    Clips `poly` against each half-plane of `clip` (Sutherland-Hodgman)
+    and measures the remainder by the shoelace formula.
     """
-    poly = [tuple(p) for p in a.vertices]
-    bv = b.vertices
-    n = len(bv)
+    n = len(clip)
     for i in range(n):
         if len(poly) < 3:
             return 0.0
-        px, py = bv[i]
-        qx, qy = bv[(i + 1) % n]
+        px, py = clip[i]
+        qx, qy = clip[(i + 1) % n]
         # Inside test for the CCW edge p->q: cross(q-p, r-p) >= 0.
         ex, ey = qx - px, qy - py
         clipped = []
@@ -138,13 +143,14 @@ def intersect(a: ConvexPolygon, b: ConvexPolygon) -> float:
         poly = clipped
     if len(poly) < 3:
         return 0.0
+    # numpy's pairwise summation, not a Python sum: keeps areas bit-stable.
     area = _signed_area(np.asarray(poly))
     return area if area > _AREA_EPS else 0.0
 
 
 def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
     """Intersection over union of two oriented boxes, exact polygon clipping."""
-    inter = intersect(to_polygon(a), to_polygon(b))
+    inter = _clip_area(_corner_list(a), _corner_list(b))
     return inter / (a.area + b.area - inter)
 
 

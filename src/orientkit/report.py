@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -98,7 +96,9 @@ def evaluate_image(
             pi, iou = matches[gi]
             pf = pred.fingers[pi]
             errs = side_errors(pf.box, gf.box)
-            angle_err = abs(math.degrees(gf.box.theta) - math.degrees(pf.box.theta))
+            angle_err = _axis_angle_deg(
+                math.degrees(gf.box.theta) - math.degrees(pf.box.theta)
+            )
             rows.append(
                 DetailRow(
                     image=gt.record_id,
@@ -112,41 +112,22 @@ def evaluate_image(
                 )
             )
         else:
-            rows.append(
-                DetailRow(
-                    image=gt.record_id,
-                    gt_label=gf.label.value,
-                    pred_label="",
-                    matched=False,
-                    iou=0.0,
-                    errors=None,
-                    angle_error_deg=None,
-                    nist_pass=None,
-                )
-            )
+            rows.append(_unmatched_row(gt.record_id, gt_label=gf.label.value))
     matched_preds = {pi for pi, _ in matches.values()}
     for pi, pf in enumerate(pred.fingers):
         if pi not in matched_preds:
-            rows.append(
-                DetailRow(
-                    image=gt.record_id,
-                    gt_label="",
-                    pred_label=pf.label.value,
-                    matched=False,
-                    iou=0.0,
-                    errors=None,
-                    angle_error_deg=None,
-                    nist_pass=None,
-                )
-            )
+            rows.append(_unmatched_row(gt.record_id, pred_label=pf.label.value))
     return rows
 
 
-def _evaluate_pair(
-    args: tuple[AnnotatedFingerphoto, AnnotatedFingerphoto, float],
-) -> list[DetailRow]:
-    gt, pred, tolerance = args
-    return evaluate_image(gt, pred, tolerance)
+def _unmatched_row(image: str, gt_label: str = "", pred_label: str = "") -> DetailRow:
+    return DetailRow(image, gt_label, pred_label, False, 0.0, None, None, None)
+
+
+def _axis_angle_deg(delta: float) -> float:
+    """|delta| folded into [0, 90], the angle between two axes: -89 vs 89 is 2."""
+    d = abs(delta) % 180.0
+    return min(d, 180.0 - d)
 
 
 def aggregate_rows(
@@ -159,7 +140,7 @@ def aggregate_rows(
 
     mae_report = mae([r.errors for r in matched]) if matched else None
     if matched:
-        # angle_error_deg rows already hold |gt - pred|, so EAP over the
+        # angle_error_deg rows already hold the folded |gt - pred|, so EAP over the
         # matched pairs is their deviation from zero.
         eap_mean, eap_std = eap([r.angle_error_deg for r in matched],
                                 [0.0] * len(matched))
@@ -196,46 +177,32 @@ def evaluate_annotations(
     gt_records: list[AnnotatedFingerphoto],
     pred_records: list[AnnotatedFingerphoto],
     tolerance: float = 64.0,
-    jobs: int = 1,
 ) -> EvaluationReport:
     """Evaluate predictions against ground truth across a whole dataset.
 
-    Both record lists must cover the same image ids. Per-image work fans
-    out to `jobs` processes; rows are reassembled in gt file order, so
-    the result never depends on worker scheduling.
+    Both record lists must cover the same image ids, each exactly once.
+    Rows come out in gt file order.
     """
     pred_by_id = {r.record_id: r for r in pred_records}
-    for record in gt_records:
-        if record.record_id not in pred_by_id:
-            raise ValueError(f"missing prediction for image {record.record_id!r}")
     gt_ids = {r.record_id for r in gt_records}
-    for record in pred_records:
-        if record.record_id not in gt_ids:
-            raise ValueError(f"missing ground truth for image {record.record_id!r}")
+    for kind, records, other_kind, other_ids in (
+        ("ground truth", gt_records, "prediction", pred_by_id),
+        ("prediction", pred_records, "ground truth", gt_ids),
+    ):
+        seen: set[str] = set()
+        for record in records:
+            if record.record_id in seen:
+                raise ValueError(f"duplicate {kind} for image {record.record_id!r}")
+            if record.record_id not in other_ids:
+                raise ValueError(f"missing {other_kind} for image {record.record_id!r}")
+            seen.add(record.record_id)
 
-    work = [(g, pred_by_id[g.record_id], tolerance) for g in gt_records]
-    if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_image = list(pool.map(_evaluate_pair, work, chunksize=8))
-    else:
-        per_image = [_evaluate_pair(item) for item in work]
-    rows = [row for image_rows in per_image for row in image_rows]
+    rows = [
+        row
+        for g in gt_records
+        for row in evaluate_image(g, pred_by_id[g.record_id], tolerance)
+    ]
     return aggregate_rows(rows, n_images=len(gt_records), tolerance=tolerance)
-
-
-def resolve_jobs(flag: int | None = None) -> int:
-    """Worker count: ORIENTKIT_JOBS overrides the flag, which overrides cpu count."""
-    env = os.environ.get("ORIENTKIT_JOBS")
-    if env is not None:
-        jobs = int(env)
-        if jobs < 1:
-            raise ValueError(f"ORIENTKIT_JOBS must be >= 1, got {env!r}")
-        return jobs
-    if flag is not None:
-        if flag < 1:
-            raise ValueError(f"--jobs must be >= 1, got {flag}")
-        return flag
-    return os.cpu_count() or 1
 
 
 def _fmt(value) -> str:

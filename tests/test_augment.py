@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -265,3 +266,25 @@ class TestAugmentDataset:
         path = out_dir / "annotations.jsonl"
         serialize_annotations(records + augmented, path)
         assert parse_annotations(path) == records + augmented
+
+    def test_repeated_angle_is_rejected_before_writing(self, tmp_path):
+        records = self._write_sources(tmp_path, 1)
+        out_dir = tmp_path / "out"
+        with pytest.raises(ValueError, match="src000_rot10.pgm"):
+            augment_dataset(records, tmp_path, out_dir, angles=(10.0, -10.0, 10.0))
+        assert not out_dir.exists()
+
+    def test_angles_with_one_tag_are_rejected(self, tmp_path):
+        records = self._write_sources(tmp_path, 1)
+        out_dir = tmp_path / "out"
+        with pytest.raises(ValueError, match="src000_rot10.pgm"):
+            augment_dataset(records, tmp_path, out_dir, angles=(10.0, 10.0000001))
+        assert not out_dir.exists()
+
+    def test_shared_source_id_is_rejected(self, tmp_path):
+        first, second = self._write_sources(tmp_path, 2)
+        twin = replace(second, source_id=first.source_id)
+        out_dir = tmp_path / "out"
+        with pytest.raises(ValueError, match="src000_rot-20.pgm"):
+            augment_dataset([first, twin], tmp_path, out_dir, angles=(-20.0, 20.0))
+        assert not out_dir.exists()

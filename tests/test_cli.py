@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -95,6 +96,34 @@ class TestCmdAugment:
         ])
         assert code == 2
         assert "img000" in capsys.readouterr().err
+
+    def test_repeated_angle_exits_3_before_writing(self, tmp_path, capsys):
+        ann, _ = write_dataset(tmp_path, n=1)
+        out = tmp_path / "out"
+        code = main([
+            "augment", "--annotations", str(ann), "--images", str(tmp_path),
+            "--out", str(out), "--angles", "30,-30,30",
+        ])
+        assert code == 3
+        assert "img000_rot30.pgm" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_shared_source_id_exits_3_before_writing(self, tmp_path, capsys):
+        records = make_records(2)
+        records[1] = replace(records[1], source_id=records[0].source_id)
+        ann = tmp_path / "annotations.jsonl"
+        serialize_annotations(records, ann)
+        img = RasterImage(np.full((64, 96), 150, np.uint8))
+        for record in records:
+            write_raster(img, tmp_path / record.image_path)
+        out = tmp_path / "out"
+        code = main([
+            "augment", "--annotations", str(ann), "--images", str(tmp_path),
+            "--out", str(out), "--angles", "-30,30",
+        ])
+        assert code == 3
+        assert "img000_rot-30.pgm" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_invalid_annotation_exits_3(self, tmp_path, capsys):
         ann = tmp_path / "annotations.jsonl"
@@ -245,6 +274,30 @@ class TestCmdEvaluate:
             "--out", str(tmp_path / "out"), "--jobs", "1",
         ]) == 3
         assert "img001" in capsys.readouterr().err
+
+    def test_duplicate_gt_id_exits_3(self, tmp_path, capsys):
+        records = make_records(2)
+        gt = tmp_path / "gt.jsonl"
+        pred = tmp_path / "pred.jsonl"
+        serialize_annotations(records + records[:1], gt)
+        serialize_annotations(records, pred)
+        assert main([
+            "evaluate", "--gt", str(gt), "--pred", str(pred),
+            "--out", str(tmp_path / "out"),
+        ]) == 3
+        assert "duplicate ground truth for image 'img000.pgm'" in capsys.readouterr().err
+
+    def test_duplicate_pred_id_exits_3(self, tmp_path, capsys):
+        records = make_records(2)
+        gt = tmp_path / "gt.jsonl"
+        pred = tmp_path / "pred.jsonl"
+        serialize_annotations(records, gt)
+        serialize_annotations(records + offset_records(records[1:]), pred)
+        assert main([
+            "evaluate", "--gt", str(gt), "--pred", str(pred),
+            "--out", str(tmp_path / "out"),
+        ]) == 3
+        assert "duplicate prediction for image 'img001.pgm'" in capsys.readouterr().err
 
     def test_plots_emitted(self, tmp_path):
         records = make_records(3)

@@ -153,6 +153,12 @@ class TestRotatedIou:
     def test_symmetry(self, a, b):
         assert abs(rotated_iou(a, b) - rotated_iou(b, a)) <= 1e-12
 
+    @given(boxes(), boxes())
+    @settings(max_examples=300)
+    def test_same_clip_as_polygon_intersect(self, a, b):
+        inter = intersect(to_polygon(a), to_polygon(b))
+        assert rotated_iou(a, b) == inter / (a.area + b.area - inter)
+
     def test_axis_aligned_matches_closed_form(self):
         rng = np.random.default_rng(11)
         for _ in range(200):

@@ -11,7 +11,6 @@ from orientkit.report import (
     evaluate_annotations,
     evaluate_image,
     match_fingers,
-    resolve_jobs,
     write_detail_csv,
     write_summary,
 )
@@ -105,6 +104,25 @@ class TestEvaluateImage:
         assert rows[1].pred_label == ""
         assert rows[1].errors is None
 
+    def test_angle_error_folds_across_the_vertical(self):
+        # -89 and 89 degrees are box axes 2 degrees apart, not 178.
+        gt = record("a", [OrientedBox(100, 100, 40, 60, math.radians(-89))])
+        pred = record("a", [OrientedBox(100, 100, 40, 60, math.radians(89))])
+        (row,) = evaluate_image(gt, pred)
+        assert row.matched and row.iou > 0.9
+        assert row.angle_error_deg == pytest.approx(2.0, abs=1e-9)
+        assert evaluate_annotations([gt], [pred]).eap_mean == row.angle_error_deg
+
+    def test_angle_error_up_to_90_is_plain_difference(self):
+        for gt_deg, pred_deg in ((-45.0, 45.0), (30.0, -20.0), (10.0, 10.0)):
+            gt = record("a", [OrientedBox(100, 100, 40, 40, math.radians(gt_deg))])
+            pred = record("a", [OrientedBox(100, 100, 40, 40, math.radians(pred_deg))])
+            (row,) = evaluate_image(gt, pred)
+            assert row.angle_error_deg == abs(
+                math.degrees(gt.fingers[0].box.theta)
+                - math.degrees(pred.fingers[0].box.theta)
+            )
+
     def test_stray_prediction_row(self):
         gt = record("a", GT_BOXES[:1])
         pred = record("a", GT_BOXES[:2])
@@ -171,15 +189,16 @@ class TestEvaluateAnnotations:
         with pytest.raises(ValueError, match="'a'"):
             evaluate_annotations(gts, preds)
 
-    def test_worker_pool_matches_serial(self):
-        gts = [record(f"img{i}", GT_BOXES) for i in range(6)]
-        preds = [
-            record(f"img{i}", [offset_box(b, 2, -1, 0.5, 3) for b in GT_BOXES])
-            for i in range(6)
-        ]
-        serial = evaluate_annotations(gts, preds, jobs=1)
-        parallel = evaluate_annotations(gts, preds, jobs=2)
-        assert serial == parallel
+    def test_duplicate_gt_id_raises(self):
+        gts = [record("a", GT_BOXES), record("a", GT_BOXES)]
+        with pytest.raises(ValueError, match="duplicate ground truth .*'a'"):
+            evaluate_annotations(gts, gts[:1])
+
+    def test_duplicate_pred_id_raises(self):
+        gts = [record("a", GT_BOXES)]
+        preds = [record("a", GT_BOXES), record("a", GT_BOXES[:1])]
+        with pytest.raises(ValueError, match="duplicate prediction .*'a'"):
+            evaluate_annotations(gts, preds)
 
 
 class TestAggregateInvariant:
@@ -242,23 +261,3 @@ class TestWriters:
         lefts = [float(r["err_left"]) for r in rows if r["matched"] == "1"]
         assert np.mean(np.abs(lefts)) == pytest.approx(report.mae_report.mae["left"])
 
-
-class TestResolveJobs:
-    def test_env_overrides_flag(self, monkeypatch):
-        monkeypatch.setenv("ORIENTKIT_JOBS", "3")
-        assert resolve_jobs(7) == 3
-
-    def test_flag_without_env(self, monkeypatch):
-        monkeypatch.delenv("ORIENTKIT_JOBS", raising=False)
-        assert resolve_jobs(7) == 7
-
-    def test_default_is_cpu_count(self, monkeypatch):
-        import os
-
-        monkeypatch.delenv("ORIENTKIT_JOBS", raising=False)
-        assert resolve_jobs(None) == (os.cpu_count() or 1)
-
-    def test_rejects_nonpositive(self, monkeypatch):
-        monkeypatch.setenv("ORIENTKIT_JOBS", "0")
-        with pytest.raises(ValueError):
-            resolve_jobs(None)
