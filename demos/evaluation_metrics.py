@@ -62,8 +62,7 @@ loss, acc = label_accuracy(truth, guess)
 print(f"\nhamming loss {loss:.4f}, accuracy {acc:.4f}")
 
 # TAR/FAR sweep into an ROC curve. Higher score = stronger match.
-genuine = tuple(("p", "g", float(s)) for s in rng.normal(2.0, 0.8, 400))
-impostor = tuple(("p", "g", float(s)) for s in rng.normal(0.0, 0.8, 400))
-curve = roc(ScoreSet(genuine=genuine, impostor=impostor))
+scores = ScoreSet(genuine=rng.normal(2.0, 0.8, 400), impostor=rng.normal(0.0, 0.8, 400))
+curve = roc(scores)
 for target in (0.1, 0.01, 0.001):
     print(f"TAR @ FAR {target:5.3f}: {tar_at_far(curve, target):.4f}")

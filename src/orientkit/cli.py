@@ -137,7 +137,7 @@ def _write_evaluation_plots(report: report_mod.EvaluationReport, out_dir: Path) 
 
 
 def read_scores_csv(path: str | Path) -> ScoreSet:
-    """Read `probe_id,gallery_id,score,mated` rows into a ScoreSet."""
+    """Read `probe_id,gallery_id,score,mated` rows; only the scores are kept."""
     genuine, impostor = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -150,20 +150,19 @@ def read_scores_csv(path: str | Path) -> ScoreSet:
             try:
                 score = float(row["score"])
                 mated = row["mated"].strip()
-            except (TypeError, AttributeError) as exc:
+            except (TypeError, AttributeError, ValueError) as exc:
                 raise ValueError(f"{path}: line {lineno}: malformed row") from exc
             if not math.isfinite(score):
                 raise ValueError(f"{path}: line {lineno}: non-finite score")
-            entry = (row["probe_id"], row["gallery_id"], score)
             if mated == "1":
-                genuine.append(entry)
+                genuine.append(score)
             elif mated == "0":
-                impostor.append(entry)
+                impostor.append(score)
             else:
                 raise ValueError(
                     f"{path}: line {lineno}: mated must be 0 or 1, got {mated!r}"
                 )
-    return ScoreSet(genuine=tuple(genuine), impostor=tuple(impostor))
+    return ScoreSet(genuine=genuine, impostor=impostor)
 
 
 def write_roc_csv(curve: RocCurve, path: str | Path) -> None:

@@ -154,22 +154,19 @@ def label_accuracy(
 class ScoreSet:
     """Mated and non-mated comparison scores; higher score = stronger match."""
 
-    genuine: tuple[tuple[str, str, float], ...]
-    impostor: tuple[tuple[str, str, float], ...]
+    genuine: np.ndarray = field(repr=False)
+    impostor: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for kind, rows in (("genuine", self.genuine), ("impostor", self.impostor)):
-            for row in rows:
-                if not math.isfinite(row[2]):
-                    raise ValueError(f"non-finite {kind} score in row {row!r}")
-
-    @property
-    def genuine_scores(self) -> np.ndarray:
-        return np.array([s for _, _, s in self.genuine], dtype=float)
-
-    @property
-    def impostor_scores(self) -> np.ndarray:
-        return np.array([s for _, _, s in self.impostor], dtype=float)
+        for kind in ("genuine", "impostor"):
+            # A read-only copy, so the checks below keep holding after construction.
+            arr = np.array(getattr(self, kind), float)
+            arr.flags.writeable = False
+            if arr.ndim != 1:
+                raise ValueError(f"{kind} scores must be 1-d, got shape {arr.shape}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"non-finite {kind} score")
+            object.__setattr__(self, kind, arr)
 
 
 @dataclass(frozen=True)
@@ -205,13 +202,13 @@ class RocCurve:
 
 def roc(scores: ScoreSet) -> RocCurve:
     """TAR/FAR at every distinct score value, swept from the highest down."""
-    gen = scores.genuine_scores
-    imp = scores.impostor_scores
+    gen, imp = scores.genuine, scores.impostor
     if gen.size == 0 or imp.size == 0:
         raise ValueError("roc needs at least one genuine and one impostor score")
     thresholds = np.unique(np.concatenate([gen, imp]))[::-1]
-    tar = np.array([(gen >= t).mean() for t in thresholds])
-    far = np.array([(imp >= t).mean() for t in thresholds])
+    # count(scores >= t) / n is exact, so criterion 9 can compare with ==.
+    tar = (gen.size - np.searchsorted(np.sort(gen), thresholds, side="left")) / gen.size
+    far = (imp.size - np.searchsorted(np.sort(imp), thresholds, side="left")) / imp.size
     return RocCurve(thresholds=thresholds, tar=tar, far=far)
 
 

@@ -214,18 +214,12 @@ def test_criterion_09_roc_oracle():
         n_imp = int(rng.integers(1, 40))
         genuine = [float(v) for v in rng.integers(0, 25, n_gen) / 5.0]
         impostor = [float(v) for v in rng.integers(0, 25, n_imp) / 5.0]
-        scores = ScoreSet(
-            genuine=tuple(("p", "g", s) for s in genuine),
-            impostor=tuple(("p", "g", s) for s in impostor),
-        )
+        scores = ScoreSet(genuine=genuine, impostor=impostor)
         curve = roc(scores)
         assert curve.points() == brute_force_roc(genuine, impostor)
         assert np.all(np.diff(curve.tar) >= 0)
         assert np.all(np.diff(curve.far) >= 0)
-    separated = ScoreSet(
-        genuine=tuple(("p", "g", s) for s in (0.8, 0.9, 1.0)),
-        impostor=tuple(("p", "g", s) for s in (0.0, 0.1, 0.2)),
-    )
+    separated = ScoreSet(genuine=(0.8, 0.9, 1.0), impostor=(0.0, 0.1, 0.2))
     assert tar_at_far(roc(separated), 0.001) == 1.0
     ok(9, "ROC equals brute-force oracle on 200 random score sets")
 

@@ -365,6 +365,13 @@ class TestCmdRoc:
         write_scores(scores, [("p", "g", "0.9", "2")])
         assert main(["roc", "--scores", str(scores), "--out", str(tmp_path / "o")]) == 3
 
+    def test_non_numeric_score_names_its_line(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        write_scores(scores, [("p", "g", "abc", "1"), ("p", "g", "0.1", "0")])
+        assert main(["roc", "--scores", str(scores), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert f"{scores}: line 2: malformed row" in err
+
 
 class TestCmdAnchors:
     def test_default_grid_count(self, tmp_path, capsys):

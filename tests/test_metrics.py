@@ -170,22 +170,58 @@ class TestLabelAccuracy:
             label_accuracy([["a"]], [])
 
 
-def score_set(genuine, impostor) -> ScoreSet:
-    return ScoreSet(
-        genuine=tuple(("p", "g", s) for s in genuine),
-        impostor=tuple(("p", "g", s) for s in impostor),
-    )
+# Quarter steps on both sides of zero, with both signed zeros drawn often,
+# so heavy ties and -0.0 next to 0.0 are common.
+tied_scores = st.lists(
+    st.one_of(st.integers(-20, 20).map(lambda v: v / 4.0), st.sampled_from([0.0, -0.0])),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestScoreSet:
+    @pytest.mark.parametrize("wrap", [list, tuple, np.array])
+    def test_stores_1d_float64_arrays(self, wrap):
+        scores = ScoreSet(genuine=wrap([1, 0.5]), impostor=wrap([0.25]))
+        for arr, expected in ((scores.genuine, [1.0, 0.5]), (scores.impostor, [0.25])):
+            assert isinstance(arr, np.ndarray)
+            assert arr.dtype == np.float64 and arr.ndim == 1
+            assert arr.tolist() == expected
+
+    def test_owns_read_only_copies(self):
+        source = np.array([0.5, 0.6])
+        scores = ScoreSet(genuine=source, impostor=[0.1])
+        source[0] = math.nan
+        assert scores.genuine.tolist() == [0.5, 0.6]
+        with pytest.raises(ValueError):
+            scores.genuine[0] = math.nan
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite genuine"):
+            ScoreSet(genuine=[0.5, bad], impostor=[0.1])
+        with pytest.raises(ValueError, match="non-finite impostor"):
+            ScoreSet(genuine=[0.5], impostor=[bad])
+
+    def test_rejects_2d_input(self):
+        with pytest.raises(ValueError, match="1-d"):
+            ScoreSet(genuine=[[0.5, 0.6]], impostor=[0.1])
+        with pytest.raises(ValueError, match="1-d"):
+            ScoreSet(genuine=[0.5], impostor=np.zeros((2, 2)))
+        # Rows of (probe_id, gallery_id, score) are rejected too.
+        with pytest.raises(ValueError):
+            ScoreSet(genuine=(("p", "g", 0.5),), impostor=(("p", "g", 0.1),))
 
 
 class TestRoc:
     def test_perfect_separation(self):
-        curve = roc(score_set([1.0, 1.0], [0.0, 0.0]))
+        curve = roc(ScoreSet([1.0, 1.0], [0.0, 0.0]))
         idx = list(curve.thresholds).index(1.0)
         assert curve.tar[idx] == 1.0
         assert curve.far[idx] == 0.0
 
     def test_worked_two_by_two(self):
-        curve = roc(score_set([0.9, 0.4], [0.6, 0.1]))
+        curve = roc(ScoreSet([0.9, 0.4], [0.6, 0.1]))
         assert curve.points() == [
             (0.9, 0.5, 0.0),
             (0.6, 0.5, 0.5),
@@ -194,25 +230,20 @@ class TestRoc:
         ]
 
     def test_tied_single_scores(self):
-        curve = roc(score_set([0.7], [0.7]))
+        curve = roc(ScoreSet([0.7], [0.7]))
         assert curve.points() == [(0.7, 1.0, 1.0)]
 
     def test_requires_both_sides(self):
         with pytest.raises(ValueError):
-            roc(score_set([0.5], []))
+            roc(ScoreSet([0.5], []))
         with pytest.raises(ValueError):
-            roc(score_set([], [0.5]))
+            roc(ScoreSet([], [0.5]))
 
-    @given(
-        st.lists(st.integers(0, 20), min_size=1, max_size=40),
-        st.lists(st.integers(0, 20), min_size=1, max_size=40),
-    )
+    @given(tied_scores, tied_scores)
     @settings(max_examples=150)
     def test_matches_brute_force_oracle(self, genuine, impostor):
-        g = [v / 4.0 for v in genuine]
-        i = [v / 4.0 for v in impostor]
-        curve = roc(score_set(g, i))
-        assert curve.points() == brute_force_roc(g, i)
+        curve = roc(ScoreSet(genuine, impostor))
+        assert curve.points() == brute_force_roc(genuine, impostor)
 
     @given(
         st.lists(st.floats(0, 1, **finite), min_size=1, max_size=30),
@@ -220,7 +251,7 @@ class TestRoc:
     )
     @settings(max_examples=150)
     def test_monotone_as_threshold_drops(self, genuine, impostor):
-        curve = roc(score_set(genuine, impostor))
+        curve = roc(ScoreSet(genuine, impostor))
         assert np.all(np.diff(curve.tar) >= 0)
         assert np.all(np.diff(curve.far) >= 0)
         assert np.all(np.diff(curve.thresholds) < 0)
@@ -228,11 +259,11 @@ class TestRoc:
 
 class TestTarAtFar:
     def test_perfect_curve(self):
-        curve = roc(score_set([1.0], [0.0]))
+        curve = roc(ScoreSet([1.0], [0.0]))
         assert tar_at_far(curve, 0.001) == 1.0
 
     def test_worked_curve_at_half(self):
-        curve = roc(score_set([0.9, 0.4], [0.6, 0.1]))
+        curve = roc(ScoreSet([0.9, 0.4], [0.6, 0.1]))
         assert tar_at_far(curve, 0.5) == 1.0
         assert tar_at_far(curve, 0.0) == 0.5
         assert tar_at_far(curve, 1.0) == 1.0
@@ -251,7 +282,7 @@ class TestTarAtFar:
     )
     @settings(max_examples=150)
     def test_monotone_in_target(self, genuine, impostor, f1, f2):
-        curve = roc(score_set(genuine, impostor))
+        curve = roc(ScoreSet(genuine, impostor))
         lo, hi = min(f1, f2), max(f1, f2)
         assert tar_at_far(curve, lo) <= tar_at_far(curve, hi)
 
