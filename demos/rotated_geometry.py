@@ -1,8 +1,8 @@
-"""Tour of the oriented-box geometry: polygons, rotated IoU, rotated NMS."""
+"""Tour of the oriented-box geometry: corners, rotated IoU, rotated NMS."""
 
 import math
 
-from orientkit import OrientedBox, rotated_iou, rotated_nms, to_polygon
+from orientkit import OrientedBox, rotated_iou, rotated_nms
 
 # An oriented box is (cx, cy, w, h, theta). Angles are radians,
 # counter-clockwise on screen, normalized into (-pi/2, pi/2].
@@ -10,9 +10,9 @@ upright = OrientedBox(cx=0.5, cy=0.5, w=1.0, h=1.0, theta=0.0)
 tilted = OrientedBox(cx=0.5, cy=0.5, w=1.0, h=1.0, theta=math.pi / 4)
 
 print("upright corners:")
-print(to_polygon(upright).vertices)
+print(upright.corners())
 print("tilted corners:")
-print(to_polygon(tilted).vertices)
+print(tilted.corners())
 
 # A unit square against its own 45-degree rotation overlaps in a regular
 # octagon of area 2(sqrt(2)-1) ~ 0.8284, giving IoU ~ 0.7071.

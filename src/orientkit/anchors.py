@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import OrientedBox, rotated_iou, rotated_nms
+from .geometry import OrientedBox, box_array, iou_matrix, rotated_nms
 
 DEFAULT_ORIENTATIONS = (
     -math.pi / 4,
@@ -130,34 +130,22 @@ def label_anchors(
     anchor is negative.
     """
     cfg = config if config is not None else AnchorConfig()
-    if not gt:
+    if not gt or not anchors:
         return [AnchorLabel("negative", None, 0.0) for _ in anchors]
 
-    n, m = len(anchors), len(gt)
-    best_iou = [0.0] * n
-    best_gt = [0] * n
-    gt_best_iou = [0.0] * m
-    gt_best_anchor = [-1] * m
-    for i, anchor in enumerate(anchors):
-        for j, g in enumerate(gt):
-            iou = rotated_iou(anchor.box, g)
-            if iou > best_iou[i]:
-                best_iou[i] = iou
-                best_gt[i] = j
-            if iou > gt_best_iou[j]:
-                gt_best_iou[j] = iou
-                gt_best_anchor[j] = i
-
-    forced = {gt_best_anchor[j] for j in range(m) if gt_best_iou[j] > 0.0}
+    iou = iou_matrix(box_array([a.box for a in anchors]), box_array(gt))
+    # argmax returns the first index of the maximum: ties go to the lower index.
+    best_gt = iou.argmax(axis=1).tolist()
+    best_iou = iou.max(axis=1).tolist()
+    forced = set(iou.argmax(axis=0)[iou.max(axis=0) > 0.0].tolist())
     labels = []
-    for i in range(n):
-        iou = best_iou[i]
-        if iou >= cfg.positive_iou or i in forced:
-            labels.append(AnchorLabel("positive", best_gt[i], iou))
-        elif iou < cfg.negative_iou:
-            labels.append(AnchorLabel("negative", None, iou))
+    for i, (best, j) in enumerate(zip(best_iou, best_gt)):
+        if best >= cfg.positive_iou or i in forced:
+            labels.append(AnchorLabel("positive", j, best))
+        elif best < cfg.negative_iou:
+            labels.append(AnchorLabel("negative", None, best))
         else:
-            labels.append(AnchorLabel("neutral", None, iou))
+            labels.append(AnchorLabel("neutral", None, best))
     return labels
 
 
@@ -172,8 +160,6 @@ def select_top_proposals(
     The returned indices are ordered by descending objectness (NMS ties
     already resolve toward lower original indices).
     """
-    if len(boxes) != len(objectness):
-        raise ValueError(f"got {len(boxes)} boxes but {len(objectness)} scores")
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     kept = rotated_nms(boxes, objectness, nms_iou)

@@ -1,22 +1,24 @@
-"""Exact geometry of oriented rectangles: polygons, rotated IoU, rotated NMS.
+"""Exact geometry of oriented rectangles: box arrays, rotated IoU, rotated NMS.
 
 Coordinates are image pixels (origin top-left, y down). Box angles are
 radians, counter-clockwise as seen on screen, and are kept normalized to
 the half-open interval (-pi/2, pi/2]: adding a multiple of pi to the angle
 of a rectangle leaves its point set unchanged, so every input angle has a
-unique representative there.
+unique representative there. Every IoU in the package comes from one
+clipper, `rotated_ious`, on (N, 5) box arrays of (cx, cy, w, h, theta) rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 # Slivers below this area are floating-point noise from clipping, not overlap.
 _AREA_EPS = 1e-12
-_COLLINEAR_TOL = 1e-9
+# Box pairs per pass through the clipper: bounds its temporaries.
+_BLOCK = 256
 
 
 def normalize_angle(theta: float) -> float:
@@ -61,97 +63,88 @@ class OrientedBox:
 
     def corners(self) -> np.ndarray:
         """Corner coordinates, shape (4, 2), counter-clockwise."""
-        return np.array(_corner_list(self))
+        return _corners(box_array([self]))[0]
 
 
-def _corner_list(box: OrientedBox) -> list[tuple[float, float]]:
-    """The four corners of `box` as float pairs, counter-clockwise."""
-    c, s = math.cos(box.theta), math.sin(box.theta)
-    hw, hh = box.w * 0.5, box.h * 0.5
-    return [(box.cx + dx * c + dy * s, box.cy - dx * s + dy * c)
-            for dx, dy in ((-hw, -hh), (hw, -hh), (hw, hh), (-hw, hh))]
+def box_array(boxes) -> np.ndarray:
+    """(N, 5) float64 array of (cx, cy, w, h, theta) rows, one per OrientedBox."""
+    rows = [(b.cx, b.cy, b.w, b.h, b.theta) for b in boxes]
+    return np.array(rows, dtype=float).reshape(-1, 5)
 
 
-@dataclass(frozen=True)
-class ConvexPolygon:
-    """Convex polygon with vertices in counter-clockwise order (positive area)."""
-
-    vertices: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
-        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
-            raise ValueError("polygon needs an (n>=3, 2) vertex array")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("polygon vertices must be finite")
-        if _signed_area(v) <= 0:
-            raise ValueError("vertices must wind counter-clockwise (positive area)")
-        edges = np.roll(v, -1, axis=0) - v
-        nxt = np.roll(edges, -1, axis=0)
-        cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
-        if np.any(cross < -_COLLINEAR_TOL):
-            raise ValueError("polygon is not convex")
-        object.__setattr__(self, "vertices", v)
-
-    @property
-    def area(self) -> float:
-        return _signed_area(self.vertices)
+def _corners(boxes: np.ndarray) -> np.ndarray:
+    """(N, 4, 2) corners of each box row, counter-clockwise."""
+    cx, cy, w, h, theta = (boxes[:, i:i + 1] for i in range(5))
+    c, s = np.cos(theta), np.sin(theta)
+    dx, dy = np.hstack([-w, w, w, -w]) * 0.5, np.hstack([-h, -h, h, h]) * 0.5
+    return np.stack([cx + dx * c + dy * s, cy - dx * s + dy * c], axis=2)
 
 
-def _signed_area(vertices: np.ndarray) -> float:
-    x, y = vertices[:, 0], vertices[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+def _clip_areas(poly: np.ndarray, clip: np.ndarray) -> np.ndarray:
+    """Area of polygon poly[k] inside convex polygon clip[k], both (P, 4, 2) CCW.
 
-
-def to_polygon(box: OrientedBox) -> ConvexPolygon:
-    """Four corners of the box as a counter-clockwise convex polygon."""
-    return ConvexPolygon(box.corners())
-
-
-def intersect(a: ConvexPolygon, b: ConvexPolygon) -> float:
-    """Area of the intersection of two convex polygons; 0.0 when disjoint."""
-    return _clip_area([tuple(p) for p in a.vertices], [tuple(p) for p in b.vertices])
-
-
-def _clip_area(poly: list, clip: list) -> float:
-    """Area of convex `poly` inside convex `clip`, both CCW lists of (x, y).
-
-    Clips `poly` against each half-plane of `clip` (Sutherland-Hodgman)
-    and measures the remainder by the shoelace formula.
+    Sutherland-Hodgman, one lane per pair, with the float operations of a
+    scalar clipper in its order. Vertices past a lane's count are padding;
+    a lane left with fewer than 3 vertices has no area.
     """
-    n = len(clip)
-    for i in range(n):
-        if len(poly) < 3:
-            return 0.0
-        px, py = clip[i]
-        qx, qy = clip[(i + 1) % n]
+    lanes = np.arange(len(poly))[:, None]
+    count = np.full(len(poly), 4)
+    for i in range(4):
+        k = np.arange(poly.shape[1])
+        valid = k < count[:, None]
+        prev = np.where(k == 0, count[:, None] - 1, k - 1)
+        p = clip[:, i, None]
         # Inside test for the CCW edge p->q: cross(q-p, r-p) >= 0.
-        ex, ey = qx - px, qy - py
-        clipped = []
-        prev = poly[-1]
-        prev_side = ex * (prev[1] - py) - ey * (prev[0] - px)
-        for cur in poly:
-            cur_side = ex * (cur[1] - py) - ey * (cur[0] - px)
-            if prev_side * cur_side < 0:
-                t = prev_side / (prev_side - cur_side)
-                clipped.append(
-                    (prev[0] + t * (cur[0] - prev[0]), prev[1] + t * (cur[1] - prev[1]))
-                )
-            if cur_side >= 0:
-                clipped.append(cur)
-            prev, prev_side = cur, cur_side
-        poly = clipped
-    if len(poly) < 3:
-        return 0.0
-    # numpy's pairwise summation, not a Python sum: keeps areas bit-stable.
-    area = _signed_area(np.asarray(poly))
-    return area if area > _AREA_EPS else 0.0
+        e, d = clip[:, (i + 1) % 4, None] - p, poly - p
+        side = e[..., 0] * d[..., 1] - e[..., 1] * d[..., 0]
+        prev_pts, prev_side = poly[lanes, prev], side[lanes, prev]
+        cross = valid & (prev_side * side < 0)
+        t = np.divide(prev_side, prev_side - side, out=np.zeros_like(side), where=cross)
+        # Per input vertex: slot 2k holds the crossing, slot 2k + 1 the vertex.
+        emit = np.stack([cross, valid & (side >= 0)], axis=2).reshape(len(poly), -1)
+        cand = np.stack([prev_pts + t[..., None] * (poly - prev_pts), poly], axis=2)
+        count = emit.sum(axis=1)
+        keep = np.argsort(~emit, axis=1, kind="stable")[:, :count.max(), None]
+        poly = np.take_along_axis(cand.reshape(len(poly), -1, 2), keep, axis=1)
+        count[count < 3] = 0
+    k = np.arange(poly.shape[1])
+    nxt = np.where(k + 1 >= count[:, None], 0, k + 1)
+    x, y = poly[..., 0], poly[..., 1]
+    terms = x * y[lanes, nxt] - x[lanes, nxt] * y
+    # np.sum over exactly each lane's own terms: numpy adds 8 or more as a
+    # pairwise tree, so a running sum would differ in the last bit.
+    area = np.zeros(len(poly))
+    for n in set(count.tolist()) - {0}:
+        area[count == n] = 0.5 * terms[count == n, :n].sum(axis=1)
+    return np.where(area > _AREA_EPS, area, 0.0)
+
+
+def rotated_ious(a: np.ndarray, b: np.ndarray, ia, ib) -> np.ndarray:
+    """IoU of box a[ia[k]] with box b[ib[k]] for every k, exact polygon clipping.
+
+    `a` and `b` are box arrays from `box_array`; a[ia[k]] is the polygon
+    clipped against b[ib[k]]. Pairs go through the clipper _BLOCK at a time,
+    which bounds its temporaries whatever the number of pairs.
+    """
+    a_corners, b_corners = _corners(a), _corners(b)
+    a_area, b_area = a[:, 2] * a[:, 3], b[:, 2] * b[:, 3]
+    out = np.empty(len(ia))
+    for start in range(0, len(ia), _BLOCK):
+        i, j = ia[start:start + _BLOCK], ib[start:start + _BLOCK]
+        inter = _clip_areas(a_corners[i], b_corners[j])
+        out[start:start + _BLOCK] = inter / (a_area[i] + b_area[j] - inter)
+    return out
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(N, M) IoU of every box row of `a` (clipped) against every row of `b`."""
+    ia, ib = np.indices((len(a), len(b))).reshape(2, -1)
+    return rotated_ious(a, b, ia, ib).reshape(len(a), len(b))
 
 
 def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
     """Intersection over union of two oriented boxes, exact polygon clipping."""
-    inter = _clip_area(_corner_list(a), _corner_list(b))
-    return inter / (a.area + b.area - inter)
+    return float(rotated_ious(box_array([a]), box_array([b]), [0], [0])[0])
 
 
 def rotated_nms(
@@ -168,9 +161,13 @@ def rotated_nms(
         raise ValueError(f"got {len(boxes)} boxes but {len(scores)} scores")
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
-    order = sorted(range(len(boxes)), key=lambda i: (-scores[i], i))
+    arr, scores = box_array(boxes), np.asarray(scores, dtype=float)
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite")
+    live = np.argsort(-scores, kind="stable")  # a stable sort keeps ties in index order
     kept: list[int] = []
-    for i in order:
-        if all(rotated_iou(boxes[i], boxes[k]) <= iou_threshold for k in kept):
-            kept.append(i)
+    while live.size:
+        k, live = int(live[0]), live[1:]
+        kept.append(k)
+        live = live[rotated_ious(arr, arr, live, np.full(live.size, k)) <= iou_threshold]
     return kept

@@ -16,8 +16,10 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .dataio import AnnotatedFingerphoto
-from .geometry import rotated_iou
+from .geometry import box_array, rotated_ious
 from .metrics import (
     MaeReport,
     SIDES,
@@ -65,13 +67,14 @@ def match_fingers(
     gt: AnnotatedFingerphoto, pred: AnnotatedFingerphoto
 ) -> list[tuple[int, int, float]]:
     """Greedy one-to-one (gt_index, pred_index, iou) matching by highest IoU."""
-    pairs = []
-    for pi, pf in enumerate(pred.fingers):
-        for gi, gf in enumerate(gt.fingers):
-            iou = rotated_iou(pf.box, gf.box)
-            if iou > 0.0:
-                pairs.append((iou, pi, gi))
-    pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
+    return _greedy_match(_image_ious([(gt, pred)])[0])
+
+
+def _greedy_match(ious: np.ndarray) -> list[tuple[int, int, float]]:
+    """Greedy one-to-one matching on a (pred x gt) IoU matrix; zero IoU never matches."""
+    rows, cols = np.nonzero(ious > 0.0)
+    pairs = sorted(zip(ious[rows, cols].tolist(), rows.tolist(), cols.tolist()),
+                   key=lambda p: (-p[0], p[1], p[2]))
     used_gt: set[int] = set()
     used_pred: set[int] = set()
     matches = []
@@ -89,7 +92,11 @@ def evaluate_image(
     gt: AnnotatedFingerphoto, pred: AnnotatedFingerphoto, tolerance: float = 64.0
 ) -> list[DetailRow]:
     """Detail rows for one image: one per gt finger plus stray predictions."""
-    matches = {gi: (pi, iou) for gi, pi, iou in match_fingers(gt, pred)}
+    return _detail_rows(gt, pred, match_fingers(gt, pred), tolerance)
+
+
+def _detail_rows(gt, pred, matched, tolerance: float) -> list[DetailRow]:
+    matches = {gi: (pi, iou) for gi, pi, iou in matched}
     rows = []
     for gi, gf in enumerate(gt.fingers):
         if gi in matches:
@@ -197,12 +204,25 @@ def evaluate_annotations(
                 raise ValueError(f"missing {other_kind} for image {record.record_id!r}")
             seen.add(record.record_id)
 
+    pairs = [(g, pred_by_id[g.record_id]) for g in gt_records]
     rows = [
         row
-        for g in gt_records
-        for row in evaluate_image(g, pred_by_id[g.record_id], tolerance)
+        for (g, p), ious in zip(pairs, _image_ious(pairs))
+        for row in _detail_rows(g, p, _greedy_match(ious), tolerance)
     ]
     return aggregate_rows(rows, n_images=len(gt_records), tolerance=tolerance)
+
+
+def _image_ious(pairs) -> list[np.ndarray]:
+    """Each (gt, pred) image's (pred x gt) IoU matrix, all from one kernel call."""
+    shapes = [(len(p.fingers), len(g.fingers)) for g, p in pairs]
+    offsets = np.cumsum([(0, 0)] + shapes, axis=0)  # each image's first pred and gt row
+    grids = [np.indices(s).reshape(2, -1) + o[:, None] for s, o in zip(shapes, offsets)]
+    ia, ib = np.hstack([np.empty((2, 0), np.intp)] + grids)
+    ious = rotated_ious(box_array([f.box for _, p in pairs for f in p.fingers]),
+                        box_array([f.box for g, _ in pairs for f in g.fingers]), ia, ib)
+    chunks = np.split(ious, np.cumsum([n * m for n, m in shapes])[:-1])
+    return [chunk.reshape(shape) for chunk, shape in zip(chunks, shapes)]
 
 
 def _fmt(value) -> str:

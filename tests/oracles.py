@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own geometry paths:
 inside-box tests carry their own trigonometry, axis-aligned IoU is pure
-interval arithmetic, and the ROC oracle counts accepts at every distinct
+interval arithmetic, the reference rotated IoU clips one pair at a time
+in plain Python, and the ROC oracle counts accepts at every distinct
 threshold by brute force.
 """
 
@@ -94,6 +95,59 @@ def _corners(box) -> np.ndarray:
         lx, ly = sx * box.w / 2, sy * box.h / 2
         out.append((box.cx + lx * c + ly * s, box.cy - lx * s + ly * c))
     return np.array(out)
+
+
+def clip_polygon(poly: list, clip: list) -> list:
+    """Convex `poly` clipped to convex `clip`, both CCW lists of (x, y).
+
+    Sutherland-Hodgman, one half-plane of `clip` at a time; a polygon
+    reduced below 3 vertices comes back empty.
+    """
+    n = len(clip)
+    for i in range(n):
+        if len(poly) < 3:
+            return []
+        px, py = clip[i]
+        qx, qy = clip[(i + 1) % n]
+        # Inside test for the CCW edge p->q: cross(q-p, r-p) >= 0.
+        ex, ey = qx - px, qy - py
+        clipped = []
+        prev = poly[-1]
+        prev_side = ex * (prev[1] - py) - ey * (prev[0] - px)
+        for cur in poly:
+            cur_side = ex * (cur[1] - py) - ey * (cur[0] - px)
+            if prev_side * cur_side < 0:
+                t = prev_side / (prev_side - cur_side)
+                clipped.append(
+                    (prev[0] + t * (cur[0] - prev[0]), prev[1] + t * (cur[1] - prev[1]))
+                )
+            if cur_side >= 0:
+                clipped.append(cur)
+            prev, prev_side = cur, cur_side
+        poly = clipped
+    return poly if len(poly) >= 3 else []
+
+
+def clip_area(poly: list, clip: list) -> float:
+    """Shoelace area (by np.sum) of `poly` clipped to `clip`; slivers <= 1e-12 are 0."""
+    clipped = clip_polygon(poly, clip)
+    if not clipped:
+        return 0.0
+    v = np.asarray(clipped)
+    x, y = v[:, 0], v[:, 1]
+    area = 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    return area if area > 1e-12 else 0.0
+
+
+def corner_list(box) -> list[tuple[float, float]]:
+    """The four corners of `box` as float pairs, counter-clockwise."""
+    return [tuple(p) for p in _corners(box).tolist()]
+
+
+def clipper_iou(a, b) -> float:
+    """Reference rotated IoU: a's corners clipped to b's, one pair in plain Python."""
+    inter = clip_area(corner_list(a), corner_list(b))
+    return inter / (a.w * a.h + b.w * b.h - inter)
 
 
 def brute_force_roc(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orientkit.anchors import (
+    Anchor,
     AnchorConfig,
     generate_anchors,
     label_anchors,
@@ -13,7 +14,7 @@ from orientkit.anchors import (
 )
 from orientkit.geometry import OrientedBox
 
-from oracles import brute_force_axis_nms
+from oracles import brute_force_axis_nms, clipper_iou
 
 
 def singleton_config(**overrides):
@@ -179,6 +180,41 @@ class TestLabelAnchors:
         anchors = tiny_grid_anchors()
         labels = label_anchors(anchors, [], singleton_config(scales=(16.0,)))
         assert all(lab.kind == "negative" for lab in labels)
+
+    def test_empty_anchors(self):
+        assert label_anchors([], [OrientedBox(8, 8, 16, 16, 0)]) == []
+
+    def test_single_anchor(self):
+        cfg = singleton_config(scales=(16.0,))
+        anchor = [Anchor(OrientedBox(8, 8, 16, 16, 0), (0, 0), 0)]
+        (same,) = label_anchors(anchor, [OrientedBox(8, 8, 16, 16, 0)], cfg)
+        assert (same.kind, same.matched_gt, same.max_iou) == ("positive", 0, 1.0)
+        (far,) = label_anchors(anchor, [OrientedBox(99, 99, 16, 16, 0)], cfg)
+        assert (far.kind, far.matched_gt, far.max_iou) == ("negative", None, 0.0)
+
+    def test_matches_scalar_loop_with_ties(self):
+        # Repeated anchors and repeated gts tie; the first index must win both ways.
+        rng = np.random.default_rng(4)
+        anchors = tiny_grid_anchors()
+        anchors = anchors + anchors[:6]
+        gt = [OrientedBox(*rng.uniform(0, 64, 2), *rng.uniform(8, 30, 2),
+                          rng.uniform(-1.5, 1.5)) for _ in range(3)]
+        gt = gt + gt[:1] + [anchors[2].box]
+        cfg = singleton_config(scales=(16.0,))
+        iou = [[clipper_iou(a.box, g) for g in gt] for a in anchors]
+        gt_best = [max(range(len(anchors)), key=lambda i: (iou[i][j], -i))
+                   for j in range(len(gt))]
+        forced = {gt_best[j] for j in range(len(gt)) if iou[gt_best[j]][j] > 0.0}
+        labels = label_anchors(anchors, gt, cfg)
+        for i, lab in enumerate(labels):
+            best = max(iou[i])
+            j = iou[i].index(best)
+            if best >= cfg.positive_iou or i in forced:
+                assert (lab.kind, lab.matched_gt, lab.max_iou) == ("positive", j, best)
+            elif best < cfg.negative_iou:
+                assert (lab.kind, lab.matched_gt, lab.max_iou) == ("negative", None, best)
+            else:
+                assert (lab.kind, lab.matched_gt, lab.max_iou) == ("neutral", None, best)
 
     def test_argmax_fallback_forces_best_anchor_positive(self):
         # Sub-threshold overlap (IoU 0.5) still yields one positive owner.

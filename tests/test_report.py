@@ -183,6 +183,40 @@ class TestEvaluateAnnotations:
         assert report.label_accuracy == pytest.approx(0.5)
         assert report.mae_report.count == 2
 
+    def test_one_finger_images(self):
+        gts = [record("a", GT_BOXES[:1]), record("b", GT_BOXES[1:2]),
+               record("c", GT_BOXES[2:])]
+        preds = [record("a", [offset_box(GT_BOXES[0], 2, 2, 2, 2)]),
+                 record("b", [OrientedBox(900, 900, 10, 10, 0)]),
+                 record("c", GT_BOXES[2:])]
+        report = evaluate_annotations(gts, preds)
+        assert (report.n_gt, report.n_matched) == (3, 2)
+        assert (report.n_unmatched_gt, report.n_unmatched_pred) == (1, 1)
+        assert [(r.image, r.matched) for r in report.rows] == [
+            ("a", True), ("b", False), ("b", False), ("c", True)
+        ]
+        assert report.rows[3].iou == 1.0
+
+    def test_rows_equal_per_image_evaluation(self):
+        # Crowded images: every pred overlaps several gts, and some repeat a gt
+        # exactly, so the greedy order and its ties decide the matching.
+        rng = np.random.default_rng(12)
+        gts, preds = [], []
+        for i in range(40):
+            g = [OrientedBox(*rng.uniform(100, 140, 2), *rng.uniform(20, 60, 2),
+                             rng.uniform(-1.5, 1.5)) for _ in range(rng.integers(1, 5))]
+            p = [OrientedBox(*rng.uniform(100, 140, 2), *rng.uniform(20, 60, 2),
+                             rng.uniform(-1.5, 1.5)) for _ in range(rng.integers(1, 5))]
+            if i % 3 == 0:
+                p[0] = g[-1]
+            gts.append(record(f"img{i}", g))
+            preds.append(record(f"img{i}", p))
+        report = evaluate_annotations(gts, preds)
+        assert list(report.rows) == [
+            row for g, p in zip(gts, preds) for row in evaluate_image(g, p)
+        ]
+        assert report.n_matched > 40
+
     def test_missing_ids_raise(self):
         gts = [record("a", GT_BOXES)]
         preds = [record("b", GT_BOXES)]
