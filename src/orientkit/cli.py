@@ -191,16 +191,22 @@ def _anchor_config(path: str | None, stride: float) -> AnchorConfig:
     if path is not None:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        if "orientations_deg" in raw:
-            kwargs["orientations"] = tuple(
-                math.radians(v) for v in raw["orientations_deg"]
-            )
-        for key in ("aspect_ratios", "scales"):
-            if key in raw:
-                kwargs[key] = tuple(float(v) for v in raw[key])
-        for key in ("positive_iou", "negative_iou"):
-            if key in raw:
-                kwargs[key] = float(raw[key])
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: anchor config must be a JSON object")
+        for key in ("orientations_deg", "aspect_ratios", "scales",
+                    "positive_iou", "negative_iou"):
+            if key not in raw:
+                continue
+            value, many = raw[key], not key.endswith("_iou")
+            items = value if many and isinstance(value, list) else [value]
+            # Exact types, because JSON true/false load as bool, an int subclass.
+            numeric = all(type(v) in (int, float) for v in items)
+            if many != isinstance(value, list) or not numeric:
+                kind = "a list of numbers" if many else "a number"
+                raise ValueError(f"{path}: {key}: expected {kind}, got {value!r}")
+            kwargs[key] = tuple(float(v) for v in items) if many else float(value)
+        if "orientations_deg" in kwargs:
+            kwargs["orientations"] = tuple(map(math.radians, kwargs.pop("orientations_deg")))
     return AnchorConfig(**kwargs)
 
 

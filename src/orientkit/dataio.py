@@ -48,10 +48,10 @@ class FingerLabel(enum.Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "FingerLabel":
-        for member in cls:
-            if member.value == name:
-                return member
-        raise AnnotationValidationError(f"unknown finger label {name!r}")
+        try:
+            return cls(name)
+        except ValueError:
+            raise AnnotationValidationError(f"unknown finger label {name!r}") from None
 
 
 @dataclass(frozen=True)

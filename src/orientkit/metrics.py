@@ -34,6 +34,10 @@ class SideErrors:
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.left, self.right, self.top, self.bottom)
 
+    def within(self, tolerance: float) -> bool:
+        """True when all four side errors stay within tolerance pixels."""
+        return all(abs(v) <= tolerance for v in self.as_tuple())
+
 
 @dataclass(frozen=True)
 class MaeReport:
@@ -110,17 +114,24 @@ def mae(errors: Sequence[SideErrors]) -> MaeReport:
     )
 
 
+def angle_error_deg(gt_deg: float, pred_deg: float) -> float:
+    """Angle between two box axes: |gt - pred| folded into [0, 90]; -89 vs 89 is 2."""
+    d = abs(gt_deg - pred_deg) % 180.0
+    return min(d, 180.0 - d)
+
+
 def eap(
     gt_angles: Sequence[float], pred_angles: Sequence[float]
 ) -> tuple[float, float]:
-    """Mean and population std of |gt - pred| over angle lists in degrees."""
+    """Mean and population std of the pairs' `angle_error_deg`, in degrees."""
     if len(gt_angles) != len(pred_angles):
         raise ValueError(
             f"angle lists differ in length: {len(gt_angles)} vs {len(pred_angles)}"
         )
     if not gt_angles:
         raise ValueError("eap needs at least one angle pair")
-    deviations = np.abs(np.asarray(gt_angles, float) - np.asarray(pred_angles, float))
+    gt, pred = (np.asarray(a, float).tolist() for a in (gt_angles, pred_angles))
+    deviations = np.array([angle_error_deg(g, p) for g, p in zip(gt, pred)])
     return float(deviations.mean()), float(deviations.std())
 
 
@@ -226,10 +237,7 @@ def nist_tolerance_check(errors: Sequence[SideErrors], tolerance: float = 64.0) 
     """Fraction of fingerprints whose four side errors all stay within tolerance."""
     if not errors:
         raise ValueError("nist_tolerance_check needs at least one error record")
-    passed = sum(
-        1 for e in errors if all(abs(v) <= tolerance for v in e.as_tuple())
-    )
-    return passed / len(errors)
+    return sum(1 for e in errors if e.within(tolerance)) / len(errors)
 
 
 @dataclass(frozen=True)

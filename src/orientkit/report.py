@@ -24,6 +24,7 @@ from .metrics import (
     MaeReport,
     SIDES,
     SideErrors,
+    angle_error_deg,
     eap,
     label_accuracy,
     mae,
@@ -63,13 +64,6 @@ class EvaluationReport:
     rows: tuple[DetailRow, ...]
 
 
-def match_fingers(
-    gt: AnnotatedFingerphoto, pred: AnnotatedFingerphoto
-) -> list[tuple[int, int, float]]:
-    """Greedy one-to-one (gt_index, pred_index, iou) matching by highest IoU."""
-    return _greedy_match(_image_ious([(gt, pred)])[0])
-
-
 def _greedy_match(ious: np.ndarray) -> list[tuple[int, int, float]]:
     """Greedy one-to-one matching on a (pred x gt) IoU matrix; zero IoU never matches."""
     rows, cols = np.nonzero(ious > 0.0)
@@ -88,13 +82,6 @@ def _greedy_match(ious: np.ndarray) -> list[tuple[int, int, float]]:
     return matches
 
 
-def evaluate_image(
-    gt: AnnotatedFingerphoto, pred: AnnotatedFingerphoto, tolerance: float = 64.0
-) -> list[DetailRow]:
-    """Detail rows for one image: one per gt finger plus stray predictions."""
-    return _detail_rows(gt, pred, match_fingers(gt, pred), tolerance)
-
-
 def _detail_rows(gt, pred, matched, tolerance: float) -> list[DetailRow]:
     matches = {gi: (pi, iou) for gi, pi, iou in matched}
     rows = []
@@ -103,9 +90,6 @@ def _detail_rows(gt, pred, matched, tolerance: float) -> list[DetailRow]:
             pi, iou = matches[gi]
             pf = pred.fingers[pi]
             errs = side_errors(pf.box, gf.box)
-            angle_err = _axis_angle_deg(
-                math.degrees(gf.box.theta) - math.degrees(pf.box.theta)
-            )
             rows.append(
                 DetailRow(
                     image=gt.record_id,
@@ -114,8 +98,10 @@ def _detail_rows(gt, pred, matched, tolerance: float) -> list[DetailRow]:
                     matched=True,
                     iou=iou,
                     errors=errs,
-                    angle_error_deg=angle_err,
-                    nist_pass=all(abs(v) <= tolerance for v in errs.as_tuple()),
+                    angle_error_deg=angle_error_deg(
+                        math.degrees(gf.box.theta), math.degrees(pf.box.theta)
+                    ),
+                    nist_pass=errs.within(tolerance),
                 )
             )
         else:
@@ -131,12 +117,6 @@ def _unmatched_row(image: str, gt_label: str = "", pred_label: str = "") -> Deta
     return DetailRow(image, gt_label, pred_label, False, 0.0, None, None, None)
 
 
-def _axis_angle_deg(delta: float) -> float:
-    """|delta| folded into [0, 90], the angle between two axes: -89 vs 89 is 2."""
-    d = abs(delta) % 180.0
-    return min(d, 180.0 - d)
-
-
 def aggregate_rows(
     rows: list[DetailRow], n_images: int, tolerance: float
 ) -> EvaluationReport:
@@ -147,8 +127,8 @@ def aggregate_rows(
 
     mae_report = mae([r.errors for r in matched]) if matched else None
     if matched:
-        # angle_error_deg rows already hold the folded |gt - pred|, so EAP over the
-        # matched pairs is their deviation from zero.
+        # angle_error_deg rows already hold the folded error in [0, 90]; eap
+        # against zeros folds each once more, which leaves it unchanged.
         eap_mean, eap_std = eap([r.angle_error_deg for r in matched],
                                 [0.0] * len(matched))
         nist_rate = nist_tolerance_check([r.errors for r in matched], tolerance)

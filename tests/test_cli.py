@@ -397,6 +397,31 @@ class TestCmdAnchors:
             "anchors", "--grid", "1x1", "--config", str(cfg), "--out", str(tmp_path),
         ]) == 3
 
+    @pytest.mark.parametrize("config, key", [
+        ({"scales": 5}, "scales"),
+        ({"orientations_deg": ["a"]}, "orientations_deg"),
+        ({"positive_iou": None}, "positive_iou"),
+        ({"aspect_ratios": "12"}, "aspect_ratios"),
+        ({"negative_iou": True}, "negative_iou"),
+    ])
+    def test_mistyped_config_value_exits_3(self, tmp_path, capsys, config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        assert main([
+            "anchors", "--grid", "1x1", "--config", str(cfg), "--out", str(tmp_path),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert f"{cfg}: {key}: expected" in err
+        assert not (tmp_path / "anchors.csv").exists()
+
+    def test_config_array_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]", encoding="utf-8")
+        assert main([
+            "anchors", "--grid", "1x1", "--config", str(cfg), "--out", str(tmp_path),
+        ]) == 3
+        assert f"{cfg}: anchor config must be a JSON object" in capsys.readouterr().err
+
     def test_custom_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orientkit.coding import (
@@ -126,15 +126,21 @@ class TestLosses:
         st.lists(st.floats(-3, 3, **finite), min_size=5, max_size=5),
         st.sampled_from([0, 1]),
     )
+    # 0.5 * r * r underflows to 0 for a residual this small, so a != b here.
+    @example([0.0] * 5, [0.0, 0.0, 0.0, 0.0, 6.7e-294], 1)
+    # One residual each, so a loss that drops any of the five terms reads 0.
+    @example([0.0] * 5, [0.5, 0.0, 0.0, 0.0, 0.0], 1)
+    @example([0.0] * 5, [0.0, 0.5, 0.0, 0.0, 0.0], 1)
+    @example([0.0] * 5, [0.0, 0.0, 0.5, 0.0, 0.0], 1)
+    @example([0.0] * 5, [0.0, 0.0, 0.0, 0.5, 0.0], 1)
+    @example([0.0] * 5, [0.0, 0.0, 0.0, 0.0, 0.5], 1)
     def test_regression_nonnegative(self, a, b, u):
         loss = regression_loss(
             RegressionTarget.from_array(a), RegressionTarget.from_array(b), u
         )
         assert loss >= 0.0
-        if u == 1 and a != b:
-            pass  # may still be 0 only if all residuals are 0
-        if loss == 0.0 and u == 1:
-            assert a == b
+        if u == 1 and loss == 0.0:
+            assert all(0.5 * (y - x) * (y - x) == 0.0 for x, y in zip(a, b))
 
     def test_classification_values(self):
         assert classification_loss(1.0, 1) < 1e-11

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -53,6 +54,12 @@ class TestFingerLabel:
     def test_unknown_label_rejected(self):
         with pytest.raises(AnnotationValidationError):
             FingerLabel.from_name("Left-Pinky")
+
+    @pytest.mark.parametrize("name", [5, ["Left-Index"]])
+    def test_non_string_label_rejected(self, name):
+        with pytest.raises(AnnotationValidationError,
+                           match=re.escape(f"unknown finger label {name!r}")):
+            FingerLabel.from_name(name)
 
 
 class TestRecordInvariants:

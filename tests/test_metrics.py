@@ -139,6 +139,10 @@ class TestEap:
         a, b = [3.0, -7.0, 12.0], [1.0, 2.0, 3.0]
         assert eap(a, b) == eap(b, a)
 
+    def test_folds_across_the_vertical(self):
+        # Box axes at -89 and 89 degrees are 2 degrees apart, as in evaluate.
+        assert eap([-89.0], [89.0]) == (2.0, 0.0)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             eap([1.0], [1.0, 2.0])
@@ -303,6 +307,14 @@ class TestNistTolerance:
 
     def test_custom_tolerance(self):
         assert nist_tolerance_check([SideErrors(10, 0, 0, 0)], tolerance=5) == 0.0
+
+    def test_every_side_is_checked(self):
+        for side in range(4):
+            values = [0.0] * 4
+            values[side] = -64.5
+            assert not SideErrors(*values).within(64.0)
+            values[side] = 64.0
+            assert SideErrors(*values).within(64.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

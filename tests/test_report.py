@@ -2,15 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from orientkit.dataio import AnnotatedFingerphoto, FingerAnnotation, FingerLabel
 from orientkit.geometry import OrientedBox
-from orientkit.metrics import SideErrors, mae, nist_tolerance_check
+from orientkit.metrics import SideErrors, eap, mae, nist_tolerance_check
 from orientkit.report import (
     aggregate_rows,
     evaluate_annotations,
-    evaluate_image,
-    match_fingers,
     write_detail_csv,
     write_summary,
 )
@@ -42,6 +42,9 @@ def offset_box(gt, left=0.0, right=0.0, top=0.0, bottom=0.0, dtheta=0.0):
     )
 
 
+# Box angles in radians over the whole range (-pi/2, pi/2].
+half_turn = st.floats(-math.pi / 2, math.pi / 2, exclude_min=True)
+
 GT_BOXES = [
     OrientedBox(100, 120, 40, 60, math.radians(10)),
     OrientedBox(300, 140, 42, 58, math.radians(-25)),
@@ -49,12 +52,21 @@ GT_BOXES = [
 ]
 
 
+def image_rows(gt, pred):
+    """One image's detail rows, evaluated as a one-record dataset."""
+    return list(evaluate_annotations([gt], [pred]).rows)
+
+
 class TestMatching:
+    # Every finger of a record carries a distinct label, so a row's pred_label
+    # names the prediction matched to its gt.
     def test_exact_match_is_identity(self):
         gt = record("a", GT_BOXES)
-        matches = match_fingers(gt, gt)
-        assert [(gi, pi) for gi, pi, _ in matches] == [(0, 0), (1, 1), (2, 2)]
-        assert all(iou == pytest.approx(1.0, abs=1e-9) for _, _, iou in matches)
+        rows = image_rows(gt, gt)
+        assert [(r.gt_label, r.pred_label) for r in rows] == [
+            (l.value, l.value) for l in LEFT_LABELS[:3]
+        ]
+        assert all(r.iou == pytest.approx(1.0, abs=1e-9) for r in rows)
 
     def test_highest_iou_wins(self):
         gt = record("a", [OrientedBox(100, 100, 40, 40, 0)])
@@ -63,9 +75,9 @@ class TestMatching:
             [OrientedBox(130, 100, 40, 40, 0), OrientedBox(101, 100, 40, 40, 0)],
             labels=[FingerLabel.LEFT_INDEX, FingerLabel.LEFT_MIDDLE],
         )
-        matches = match_fingers(gt, pred)
-        assert len(matches) == 1
-        assert matches[0][0] == 0 and matches[0][1] == 1
+        match, stray = image_rows(gt, pred)
+        assert match.matched and match.pred_label == FingerLabel.LEFT_MIDDLE.value
+        assert not stray.matched and stray.pred_label == FingerLabel.LEFT_INDEX.value
 
     def test_tie_breaks_to_lower_pred_index(self):
         gt = record("a", [OrientedBox(100, 100, 40, 40, 0)])
@@ -74,19 +86,19 @@ class TestMatching:
             [OrientedBox(101, 100, 40, 40, 0), OrientedBox(99, 100, 40, 40, 0)],
             labels=[FingerLabel.LEFT_INDEX, FingerLabel.LEFT_MIDDLE],
         )
-        matches = match_fingers(gt, pred)
-        assert matches[0][1] == 0
+        match, _ = image_rows(gt, pred)
+        assert match.matched and match.pred_label == FingerLabel.LEFT_INDEX.value
 
     def test_zero_overlap_never_matches(self):
         gt = record("a", [OrientedBox(100, 100, 20, 20, 0)])
         pred = record("a", [OrientedBox(900, 900, 20, 20, 0)])
-        assert match_fingers(gt, pred) == []
+        assert [r.matched for r in image_rows(gt, pred)] == [False, False]
 
 
 class TestEvaluateImage:
     def test_perfect_prediction(self):
         gt = record("a", GT_BOXES)
-        rows = evaluate_image(gt, gt)
+        rows = image_rows(gt, gt)
         assert len(rows) == 3
         for row in rows:
             assert row.matched
@@ -98,7 +110,7 @@ class TestEvaluateImage:
     def test_unmatched_gt_row(self):
         gt = record("a", GT_BOXES[:2])
         pred = record("a", GT_BOXES[:1])
-        rows = evaluate_image(gt, pred)
+        rows = image_rows(gt, pred)
         assert len(rows) == 2
         assert rows[1].matched is False
         assert rows[1].pred_label == ""
@@ -108,7 +120,7 @@ class TestEvaluateImage:
         # -89 and 89 degrees are box axes 2 degrees apart, not 178.
         gt = record("a", [OrientedBox(100, 100, 40, 60, math.radians(-89))])
         pred = record("a", [OrientedBox(100, 100, 40, 60, math.radians(89))])
-        (row,) = evaluate_image(gt, pred)
+        (row,) = image_rows(gt, pred)
         assert row.matched and row.iou > 0.9
         assert row.angle_error_deg == pytest.approx(2.0, abs=1e-9)
         assert evaluate_annotations([gt], [pred]).eap_mean == row.angle_error_deg
@@ -117,16 +129,25 @@ class TestEvaluateImage:
         for gt_deg, pred_deg in ((-45.0, 45.0), (30.0, -20.0), (10.0, 10.0)):
             gt = record("a", [OrientedBox(100, 100, 40, 40, math.radians(gt_deg))])
             pred = record("a", [OrientedBox(100, 100, 40, 40, math.radians(pred_deg))])
-            (row,) = evaluate_image(gt, pred)
+            (row,) = image_rows(gt, pred)
             assert row.angle_error_deg == abs(
                 math.degrees(gt.fingers[0].box.theta)
                 - math.degrees(pred.fingers[0].box.theta)
             )
 
+    @given(half_turn, half_turn)
+    def test_angle_error_equals_eap(self, gt_theta, pred_theta):
+        # Shared centres always overlap, so the one pair matches.
+        gt = record("a", [OrientedBox(100, 100, 40, 60, gt_theta)])
+        pred = record("a", [OrientedBox(100, 100, 30, 50, pred_theta)])
+        (row,) = image_rows(gt, pred)
+        g, p = (math.degrees(r.fingers[0].box.theta) for r in (gt, pred))
+        assert row.matched and eap([g], [p])[0] == row.angle_error_deg
+
     def test_stray_prediction_row(self):
         gt = record("a", GT_BOXES[:1])
         pred = record("a", GT_BOXES[:2])
-        rows = evaluate_image(gt, pred)
+        rows = image_rows(gt, pred)
         assert len(rows) == 2
         assert rows[1].gt_label == ""
         assert rows[1].pred_label == FingerLabel.LEFT_MIDDLE.value
@@ -213,7 +234,7 @@ class TestEvaluateAnnotations:
             preds.append(record(f"img{i}", p))
         report = evaluate_annotations(gts, preds)
         assert list(report.rows) == [
-            row for g, p in zip(gts, preds) for row in evaluate_image(g, p)
+            row for g, p in zip(gts, preds) for row in image_rows(g, p)
         ]
         assert report.n_matched > 40
 
